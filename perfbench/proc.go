@@ -29,6 +29,12 @@ func peakRSSMB() float64 {
 	return kb / 1024
 }
 
+// resetPeakRSS restarts the process's VmHWM at its current resident set
+// (Linux 4.0 and later), so the next peakRSSMB reads the peak since now.
+func resetPeakRSS() error {
+	return os.WriteFile("/proc/self/clear_refs", []byte("5"), 0)
+}
+
 func procStatusKB(field string) (float64, bool) {
 	f, err := os.Open("/proc/self/status")
 	if err != nil {

@@ -320,18 +320,16 @@ func runServeMix(e *env) (*report, error) {
 	rep.info["generator_max_late_ms"] = ms(ol.maxLate)
 	rep.info["stream_s"] = ol.wall.Seconds()
 	if !e.traced {
-		return rep, emitEndToEnd(rep, map[string]float64{
-			"setup_s":        median(setups),
-			"wall_s":         ol.wall.Seconds(),
-			"cpu_s":          cpu.Seconds(),
-			"p50_ms":         quantile(sorted, 0.5),
-			"p90_ms":         quantile(sorted, 0.9),
-			"p99_ms":         quantile(sorted, 0.99),
-			"t_count":        float64(agg.tCount),
-			"clifford_count": float64(agg.clifford),
-			"peak_rss_mb":    peakRSSMB(),
-			"ok_share":       1 - float64(rep.failed)/float64(rep.attempted),
-		})
+		vals, fallback := latencyMetrics(sorted)
+		rep.info["latency_mean_for"] = fallback
+		vals["setup_s"] = median(setups)
+		vals["wall_s"] = ol.wall.Seconds()
+		vals["cpu_s"] = cpu.Seconds()
+		vals["t_count"] = float64(agg.tCount)
+		vals["clifford_count"] = float64(agg.clifford)
+		vals["peak_rss_mb"] = peakRSSMB()
+		vals["ok_share"] = 1 - float64(rep.failed)/float64(rep.attempted)
+		return rep, emitEndToEnd(rep, vals)
 	}
 
 	spans := newSpanTable()

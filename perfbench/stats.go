@@ -49,6 +49,38 @@ func highestSupported(n int, ladder []float64) (float64, bool) {
 	return best, ok
 }
 
+// latencyMetrics returns the p50_ms, p90_ms and p99_ms values of a run's
+// sorted op latencies. A percentile with fewer than minBeyond samples
+// beyond it is one sample near the top, which a single slow op decides;
+// such a percentile reads the mean op latency instead, and its name is
+// listed in fallback.
+func latencyMetrics(sorted []float64) (vals map[string]float64, fallback []string) {
+	vals = map[string]float64{}
+	for _, p := range []struct {
+		name string
+		q    float64
+	}{{"p50_ms", 0.5}, {"p90_ms", 0.9}, {"p99_ms", 0.99}} {
+		if beyond(len(sorted), p.q) >= minBeyond {
+			vals[p.name] = quantile(sorted, p.q)
+			continue
+		}
+		vals[p.name] = mean(sorted)
+		fallback = append(fallback, p.name)
+	}
+	return vals, fallback
+}
+
+func mean(vs []float64) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	var s float64
+	for _, v := range vs {
+		s += v
+	}
+	return s / float64(len(vs))
+}
+
 // median of unsorted values (the mean of the middle pair for even n).
 func median(vs []float64) float64 {
 	if len(vs) == 0 {

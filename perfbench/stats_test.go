@@ -32,6 +32,26 @@ func TestPercentileRuleNeedsTenBeyond(t *testing.T) {
 	}
 }
 
+func TestLatencyMetricsFallBackToMeanWithoutTenBeyond(t *testing.T) {
+	// 200 samples support p50 and p90 (19 beyond) but not p99 (1 beyond).
+	s := make([]float64, 200)
+	for i := range s {
+		s[i] = float64(i + 1)
+	}
+	vals, fallback := latencyMetrics(s)
+	if vals["p50_ms"] != 100 || vals["p90_ms"] != 180 || vals["p99_ms"] != 100.5 {
+		t.Errorf("latencyMetrics(1..200) = %v, want p50 100, p90 180, p99 the mean 100.5", vals)
+	}
+	if !slices.Equal(fallback, []string{"p99_ms"}) {
+		t.Errorf("fallback = %v, want [p99_ms]", fallback)
+	}
+	// Eight circuits, as in one compile-u3 lap, support none.
+	vals, fallback = latencyMetrics([]float64{1, 2, 3, 4, 5, 6, 7, 12})
+	if vals["p50_ms"] != 5 || vals["p90_ms"] != 5 || vals["p99_ms"] != 5 || len(fallback) != 3 {
+		t.Errorf("latencyMetrics(8 samples) = %v, %v; want the mean 5 for all three", vals, fallback)
+	}
+}
+
 func TestQuantileNearestRank(t *testing.T) {
 	s := make([]float64, 100)
 	for i := range s {
